@@ -46,7 +46,7 @@ func BenchmarkAblationMaxVers(b *testing.B) {
 			if mv == 0 {
 				params.MaxCandidates = 0
 			}
-			an, err := core.NewAnalyzer(c, params)
+			an, err := acquireEvaluator(c, params)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -74,7 +74,7 @@ func BenchmarkAblationMaxList(b *testing.B) {
 		b.Run(fmt.Sprintf("maxlist=%d", ml), func(b *testing.B) {
 			params := core.DefaultParams()
 			params.MaxList = ml
-			an, err := core.NewAnalyzer(c, params)
+			an, err := acquireEvaluator(c, params)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -106,7 +106,7 @@ func BenchmarkAblationObsModel(b *testing.B) {
 		b.Run(m.name, func(b *testing.B) {
 			params := core.DefaultParams()
 			params.ObsModel = m.model
-			an, err := core.NewAnalyzer(c, params)
+			an, err := acquireEvaluator(c, params)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -139,7 +139,7 @@ func BenchmarkAblationLocalDiff(b *testing.B) {
 		b.Run(m.name, func(b *testing.B) {
 			params := core.DefaultParams()
 			params.PaperLocalDiff = m.paper
-			an, err := core.NewAnalyzer(c, params)
+			an, err := acquireEvaluator(c, params)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -175,7 +175,7 @@ func BenchmarkAblationSignalAccuracy(b *testing.B) {
 			if mv == 0 {
 				params.MaxCandidates = 0
 			}
-			an, err := core.NewAnalyzer(c, params)
+			an, err := acquireEvaluator(c, params)
 			if err != nil {
 				b.Fatal(err)
 			}

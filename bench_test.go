@@ -91,7 +91,9 @@ func BenchmarkTable2Validation(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		gen := pattern.NewUniform(len(c.Inputs), uint64(i))
-		faultsim.CoverageCurve(c, faults, gen, []int{int(n)})
+		if _, err := faultsim.NewPlan(c, faults).CoverageCurveCtx(context.Background(), gen, []int{int(n)}, faultsim.Options{}, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -163,9 +165,19 @@ func BenchmarkTable8OptimizationScaling(b *testing.B) {
 // --- Component micro-benchmarks: the building blocks the tables rest
 // on, useful for tracking performance regressions.
 
+// acquireEvaluator compiles the analysis program of (c, params) and
+// acquires an evaluator from its pool.
+func acquireEvaluator(c *Circuit, params Params) (*Evaluator, error) {
+	prog, err := core.NewProgram(c, params)
+	if err != nil {
+		return nil, err
+	}
+	return prog.Acquire(), nil
+}
+
 func BenchmarkAnalyzeALU(b *testing.B) {
 	c := circuits.ALU74181()
-	an, err := core.NewAnalyzer(c, core.DefaultParams())
+	an, err := acquireEvaluator(c, core.DefaultParams())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -180,7 +192,7 @@ func BenchmarkAnalyzeALU(b *testing.B) {
 
 func BenchmarkAnalyzeMULT(b *testing.B) {
 	c := circuits.Mult8()
-	an, err := core.NewAnalyzer(c, core.DefaultParams())
+	an, err := acquireEvaluator(c, core.DefaultParams())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -195,7 +207,7 @@ func BenchmarkAnalyzeMULT(b *testing.B) {
 
 func BenchmarkAnalyzeDIV(b *testing.B) {
 	c := circuits.Div16()
-	an, err := core.NewAnalyzer(c, core.DefaultParams())
+	an, err := acquireEvaluator(c, core.DefaultParams())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -237,7 +249,7 @@ func BenchmarkFaultSimFFRMULT64Patterns(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		gen.NextBlock(words)
-		engine.SimulateBlock(words, det, nil)
+		engine.SimulateChunk(words, det, nil)
 	}
 }
 
@@ -325,7 +337,7 @@ func BenchmarkOptimizeParallel(b *testing.B) {
 // 0 allocs/op — the hot path reuses caller buffers end to end.
 func BenchmarkAnalyzeIncrementalCOMP(b *testing.B) {
 	c := circuits.Comp24()
-	an, err := core.NewAnalyzer(c, core.FastParams())
+	an, err := acquireEvaluator(c, core.FastParams())
 	if err != nil {
 		b.Fatal(err)
 	}

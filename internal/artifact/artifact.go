@@ -280,15 +280,12 @@ func (s *Store) BIST(c *circuit.Circuit) *bist.Program {
 }
 
 // BISTFor returns the shared self-test program of c over a fault
-// model's universe.  Its FFR simulation plan is the store's
-// SimPlanFor(c, m), resolved lazily on the first FFR-engine run.
+// model's universe, built over the store's SimPlanFor(c, m).
 func (s *Store) BISTFor(c *circuit.Circuit, m fault.Model) *bist.Program {
 	ci := s.Intern(c)
 	m = m.Normalize()
 	v, _ := s.get(key{kind: kindBIST, c: ci, model: m}, func() (any, error) {
-		return bist.NewProgram(ci, s.FaultsFor(ci, m), func() *faultsim.Plan {
-			return s.SimPlanFor(ci, m)
-		}), nil
+		return bist.NewProgram(s.SimPlanFor(ci, m)), nil
 	})
 	return v.(*bist.Program)
 }

@@ -11,13 +11,13 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
 	"protest/internal/circuit"
 	"protest/internal/fault"
 	"protest/internal/faultsim"
 	"protest/internal/pattern"
-	"protest/internal/widesim"
 )
 
 // MISR is a multiple-input signature register over GF(2) with a
@@ -126,102 +126,62 @@ func (r *Result) Coverage() float64 {
 	return float64(r.Detected) / float64(r.Faults)
 }
 
-// Program is the immutable self-test artifact of one (circuit, fault
-// list) pair.  It shares the FFR fault-simulation plan (lazily built on
-// first FFR-engine run, or injected by the caller) and pools the
-// per-run scratch — per-fault signature registers, response buffers —
-// so any number of goroutines can run self-test sessions concurrently
-// against one Program.  Every run is bit-identical to a serial run with
-// the same generator stream and plan.
+// Program is the immutable self-test artifact of one fault-simulation
+// plan.  It shares the plan (whose FFR structure only the FFR engine
+// builds) and pools the per-run scratch — per-fault signature
+// registers, response buffers — so any number of goroutines can run
+// self-test sessions concurrently against one Program.  Every run is
+// bit-identical to a serial run with the same generator stream and
+// plan.
 type Program struct {
-	c      *circuit.Circuit
-	faults []fault.Fault
-
-	planOnce sync.Once
-	planFn   func() *faultsim.Plan
-	simPlan  *faultsim.Plan
-
+	plan *faultsim.Plan
 	pool sync.Pool // *runState
 }
 
-// runState is one run's mutable scratch, pooled on the Program.
+// runState is one run's mutable scratch, pooled on the Program.  The
+// output buffers are sized for the widest chunk.
 type runState struct {
 	faultSigs      []uint64
 	outputDetected []bool
-	inWords        []uint64
 	goodOut        []uint64
 	faultyOut      []uint64
-	det            []uint64
-	sim            *faultsim.Simulator // naive engine, built on first use
+	laneOut        []uint64 // one lane of goodOut or faultyOut
 }
 
-// NewProgram builds the self-test artifact.  planFn supplies the
-// shared FFR simulation plan on first need (so naive-engine-only use
-// never builds it); nil derives a private plan from (c, faults).  The
-// plan returned by planFn must have been built over exactly c and
-// faults.
-func NewProgram(c *circuit.Circuit, faults []fault.Fault, planFn func() *faultsim.Plan) *Program {
-	p := &Program{c: c, faults: faults, planFn: planFn}
+// NewProgram builds the self-test artifact over a shared plan.
+func NewProgram(plan *faultsim.Plan) *Program {
+	p := &Program{plan: plan}
+	nFaults, nOut := len(plan.Faults()), len(plan.Circuit().Outputs)
 	p.pool.New = func() any {
 		return &runState{
-			faultSigs:      make([]uint64, len(faults)),
-			outputDetected: make([]bool, len(faults)),
-			inWords:        make([]uint64, len(c.Inputs)),
-			goodOut:        make([]uint64, len(c.Outputs)),
-			faultyOut:      make([]uint64, len(c.Outputs)),
-			det:            make([]uint64, len(faults)),
+			faultSigs:      make([]uint64, nFaults),
+			outputDetected: make([]bool, nFaults),
+			goodOut:        make([]uint64, nOut*maxWidth),
+			faultyOut:      make([]uint64, nOut*maxWidth),
+			laneOut:        make([]uint64, nOut),
 		}
 	}
 	return p
 }
 
-// plan returns the shared FFR simulation plan, building it on first
-// use.
-func (p *Program) plan() *faultsim.Plan {
-	p.planOnce.Do(func() {
-		if p.planFn != nil {
-			p.simPlan = p.planFn()
-		}
-		if p.simPlan == nil {
-			p.simPlan = faultsim.NewPlan(p.c, p.faults)
-		}
-	})
-	return p.simPlan
-}
+// maxWidth is the widest capture chunk, in 64-cycle lanes.
+const maxWidth = 8
 
-// Run simulates the complete self test: every fault's response stream
-// is compacted into its own signature and compared against the good
-// one.  The generator supplies the stimulus (uniform for a classic
-// BILBO, weighted for the optimized NLFSR scheme).
+// Run simulates the complete self test on a private Program: every
+// fault's response stream is compacted into its own signature and
+// compared against the good one.  The generator supplies the stimulus
+// (uniform for a classic BILBO, weighted for the optimized NLFSR
+// scheme).
 func Run(c *circuit.Circuit, faults []fault.Fault, gen *pattern.Generator, plan Plan) (*Result, error) {
-	return RunCtx(context.Background(), c, faults, gen, plan, nil)
+	return NewProgram(faultsim.NewPlan(c, faults)).RunCtx(context.Background(), gen, plan, nil)
 }
 
-// RunCtx is Run with cancellation and progress reporting: between
-// 64-cycle blocks it checks ctx and, on cancellation, returns ctx.Err()
-// and a nil result.  It derives the FFR simulation plan itself; use
-// RunPlanCtx (or a long-lived Program) to reuse an existing one.
-func RunCtx(ctx context.Context, c *circuit.Circuit, faults []fault.Fault, gen *pattern.Generator, plan Plan, progress faultsim.Progress) (*Result, error) {
-	return RunPlanCtx(ctx, c, faults, nil, gen, plan, progress)
-}
-
-// RunPlanCtx is RunCtx with a caller-provided FFR simulation plan.
-// simPlan must have been built over exactly c and faults (nil builds a
-// fresh one); it is ignored by the naive engine.
-func RunPlanCtx(ctx context.Context, c *circuit.Circuit, faults []fault.Fault, simPlan *faultsim.Plan, gen *pattern.Generator, plan Plan, progress faultsim.Progress) (*Result, error) {
-	p := NewProgram(c, faults, nil)
-	p.simPlan = simPlan
-	if simPlan != nil {
-		p.planOnce.Do(func() {})
-	}
-	return p.RunCtx(ctx, gen, plan, progress)
-}
-
-// RunCtx runs one self-test session on pooled scratch.  Safe for
-// concurrent use: concurrent runs share only the immutable plan and
-// the scratch pool.
+// RunCtx runs one self-test session on pooled scratch.  Between waves
+// of 64-cycle blocks it checks ctx and, on cancellation, returns
+// ctx.Err() and a nil result.  Safe for concurrent use: concurrent
+// runs share only the immutable plan and the scratch pool.
 func (p *Program) RunCtx(ctx context.Context, gen *pattern.Generator, plan Plan, progress faultsim.Progress) (*Result, error) {
-	c, faults := p.c, p.faults
+	c, faults := p.plan.Circuit(), p.plan.Faults()
 	if gen.NumInputs() != len(c.Inputs) {
 		return nil, fmt.Errorf("bist: generator has %d inputs, circuit %d", gen.NumInputs(), len(c.Inputs))
 	}
@@ -247,77 +207,37 @@ func (p *Program) RunCtx(ctx context.Context, gen *pattern.Generator, plan Plan,
 		outputDetected[i] = false
 	}
 
-	inWords, goodOut, faultyOut := st.inWords, st.goodOut, st.faultyOut
 	scratch := &MISR{width: plan.MISRWidth}
 	scratch.taps, _ = pattern.Taps(plan.MISRWidth)
 
-	// Engine selection: the FFR engine captures, per block, every
-	// stem's output-flip words once and composes each fault's faulty
-	// responses from them; the naive oracle re-simulates every fault's
-	// cone.  Both yield the same response words, hence identical
-	// signatures.
-	var engine *faultsim.Engine
-	var sim *faultsim.Simulator
-	var det []uint64
-	if plan.Engine == faultsim.EngineNaive {
-		if st.sim == nil {
-			st.sim = faultsim.New(c)
+	// Every chunk's good and faulty responses clock the signature
+	// registers lane by lane in cycle order, so signatures are
+	// bit-identical for every engine and width.  The FFR engine
+	// composes each fault's faulty responses from per-stem output-flip
+	// words; the naive oracle re-simulates every fault's cone.
+	nOut := len(c.Outputs)
+	opt := faultsim.Options{Engine: plan.Engine, Width: plan.SimWidth}
+	err = p.plan.Capture(ctx, gen, plan.Cycles, opt, func(eng faultsim.WideEngine, det []uint64, blocks []faultsim.BlockSpan) {
+		w := eng.Width()
+		goodOut, faultyOut := st.goodOut[:nOut*w], st.faultyOut[:nOut*w]
+		eng.GoodOutputWords(goodOut)
+		for l, b := range blocks {
+			clockStream(goodMISR, lane(st.laneOut, goodOut, w, l), bits.OnesCount64(b.Mask))
 		}
-		sim = st.sim
-	} else {
-		if err := widesim.CheckWidth(plan.SimWidth); err != nil {
-			return nil, err
-		}
-		if plan.SimWidth > 1 {
-			return p.runWide(ctx, gen, plan, goodMISR, st, scratch, progress)
-		}
-		engine = p.plan().AcquireEngine()
-		defer engine.Release()
-		det = st.det
-	}
-
-	cycles := 0
-	for cycles < plan.Cycles {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		gen.NextBlock(inWords)
-		valid := plan.Cycles - cycles
-		if valid > 64 {
-			valid = 64
-		}
-		var mask uint64 = ^uint64(0)
-		if valid < 64 {
-			mask = 1<<valid - 1
-		}
-		if engine != nil {
-			engine.SimulateBlockOutputs(inWords, det)
-			engine.GoodOutputWords(goodOut)
-		} else {
-			sim.SimulateBlock(inWords, nil, nil)
-			sim.GoodOutputWords(goodOut)
-		}
-		clockStream(goodMISR, goodOut, valid)
-
-		for fi, f := range faults {
-			var d uint64
-			if engine != nil {
-				d = det[fi]
-				engine.FaultOutputs(fi, faultyOut)
-			} else {
-				d = sim.SimulateFaultBlock(inWords, f, faultyOut)
-			}
-			if d&mask != 0 {
-				outputDetected[fi] = true
-			}
+		for fi := range faults {
+			eng.FaultOutputs(fi, faultyOut)
 			scratch.state = faultSigs[fi]
-			clockStream(scratch, faultyOut, valid)
+			for l, b := range blocks {
+				if det[fi*w+l]&b.Mask != 0 {
+					outputDetected[fi] = true
+				}
+				clockStream(scratch, lane(st.laneOut, faultyOut, w, l), bits.OnesCount64(b.Mask))
+			}
 			faultSigs[fi] = scratch.state
 		}
-		cycles += valid
-		if progress != nil {
-			progress(cycles, plan.Cycles)
-		}
+	}, progress)
+	if err != nil {
+		return nil, err
 	}
 
 	res := &Result{
@@ -337,90 +257,16 @@ func (p *Program) RunCtx(ctx context.Context, gen *pattern.Generator, plan Plan,
 	return res, nil
 }
 
-// runWide is the wide-capture self-test loop: chunks of SimWidth
-// consecutive 64-cycle blocks run through one wide FFR capture sweep,
-// and every signature register is clocked lane by lane in cycle order
-// — serial compaction over wide simulation, so signatures are
-// bit-identical to the narrow loop.  Entered from RunCtx with the
-// per-fault registers already initialized on st.
-func (p *Program) runWide(ctx context.Context, gen *pattern.Generator, plan Plan, goodMISR *MISR, st *runState, scratch *MISR, progress faultsim.Progress) (*Result, error) {
-	c, faults := p.c, p.faults
-	w := plan.SimWidth
-	engine := p.plan().AcquireWideEngine(w)
-	defer engine.Release()
-
-	inWords := make([]uint64, len(c.Inputs)*w)
-	det := make([]uint64, len(faults)*w)
-	goodOut := make([]uint64, len(c.Outputs)*w)
-	faultyOut := make([]uint64, len(c.Outputs)*w)
-	faultSigs, outputDetected := st.faultSigs, st.outputDetected
-
-	nBlocks := (plan.Cycles + 63) / 64
-	cycles := 0
-	for b := 0; b < nBlocks; b += w {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		k := w
-		if rem := nBlocks - b; rem < k {
-			k = rem
-		}
-		gen.NextBlocks(inWords, w, k)
-		engine.SimulateChunkOutputs(inWords, det)
-		engine.GoodOutputWords(goodOut)
-		for l := 0; l < k; l++ {
-			valid := plan.Cycles - (cycles + l*64)
-			if valid > 64 {
-				valid = 64
-			}
-			clockStreamLane(goodMISR, goodOut, w, l, valid)
-		}
-		for fi := range faults {
-			engine.FaultOutputs(fi, faultyOut)
-			scratch.state = faultSigs[fi]
-			for l := 0; l < k; l++ {
-				valid := plan.Cycles - (cycles + l*64)
-				if valid > 64 {
-					valid = 64
-				}
-				var mask uint64 = ^uint64(0)
-				if valid < 64 {
-					mask = 1<<valid - 1
-				}
-				if det[fi*w+l]&mask != 0 {
-					outputDetected[fi] = true
-				}
-				clockStreamLane(scratch, faultyOut, w, l, valid)
-			}
-			faultSigs[fi] = scratch.state
-		}
-		for l := 0; l < k; l++ {
-			valid := plan.Cycles - cycles
-			if valid > 64 {
-				valid = 64
-			}
-			cycles += valid
-		}
-		if progress != nil {
-			progress(cycles, plan.Cycles)
-		}
+// lane returns lane l of a lane-major output buffer (out[i*w+l] is
+// output i's word), gathered into dst unless the buffer has one lane.
+func lane(dst, out []uint64, w, l int) []uint64 {
+	if w == 1 {
+		return out
 	}
-
-	res := &Result{
-		GoodSignature: goodMISR.Signature(),
-		MISRWidth:     plan.MISRWidth,
-		Faults:        len(faults),
-		Cycles:        plan.Cycles,
+	for i := range dst {
+		dst[i] = out[i*w+l]
 	}
-	for fi := range faults {
-		if faultSigs[fi] != res.GoodSignature {
-			res.Detected++
-		} else if outputDetected[fi] {
-			res.Aliased++
-		}
-	}
-	res.OutputDetected = res.Detected + res.Aliased
-	return res, nil
+	return dst
 }
 
 // clockStream feeds `valid` cycles of output words into the MISR:
@@ -431,18 +277,6 @@ func clockStream(m *MISR, outWords []uint64, valid int) {
 		var in uint64
 		for i, w := range outWords {
 			in |= (w >> b & 1) << (uint(i) % 64)
-		}
-		m.Clock(in)
-	}
-}
-
-// clockStreamLane is clockStream over lane `lane` of a lane-major wide
-// output buffer (outWords[i*stride+lane] is output i's word).
-func clockStreamLane(m *MISR, outWords []uint64, stride, lane, valid int) {
-	for b := 0; b < valid; b++ {
-		var in uint64
-		for i := 0; i*stride < len(outWords); i++ {
-			in |= (outWords[i*stride+lane] >> b & 1) << (uint(i) % 64)
 		}
 		m.Clock(in)
 	}

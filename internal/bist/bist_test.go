@@ -1,6 +1,7 @@
 package bist
 
 import (
+	"context"
 	"testing"
 
 	"protest/internal/circuit"
@@ -114,7 +115,10 @@ func TestRunMatchesFaultSimulation(t *testing.T) {
 		t.Fatal(err)
 	}
 	genB := pattern.NewUniform(len(c.Inputs), 9)
-	sim := faultsim.MeasureDetection(c, faults, genB, cycles)
+	sim, err := faultsim.NewPlan(c, faults).MeasureDetectionCtx(context.Background(), genB, cycles, faultsim.Options{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	simDetected := 0
 	for i := range faults {
 		if sim.Detected[i] > 0 {

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"protest/internal/circuit"
 	"protest/internal/circuits"
 )
 
@@ -80,28 +81,41 @@ func TestEvaluatorPoolReuse(t *testing.T) {
 	}
 }
 
-// The deprecated Analyzer surface (NewAnalyzer, Clone) must keep
-// working over the Program split.
-func TestDeprecatedAnalyzerSurface(t *testing.T) {
+// Evaluators acquired from one Program share it and compute identical
+// results: the plan is immutable and only the scratch is per evaluator.
+func TestPooledEvaluatorsShareProgram(t *testing.T) {
 	c := circuits.C17()
-	an, err := NewAnalyzer(c, DefaultParams())
+	prog, err := NewProgram(c, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	clone := an.Clone()
-	if clone.Program != an.Program {
-		t.Fatal("clone does not share the program")
+	an := prog.Acquire()
+	defer an.Release()
+	other := prog.Acquire()
+	defer other.Release()
+	if other.Program != an.Program {
+		t.Fatal("acquired evaluators do not share the program")
 	}
 	probs := UniformProbs(c)
 	a, err := an.Run(probs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := clone.Run(probs)
+	b, err := other.Run(probs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a.Prob, b.Prob) || !reflect.DeepEqual(a.Obs, b.Obs) {
-		t.Fatal("clone result differs from original")
+		t.Fatal("second evaluator's result differs from the first")
 	}
+}
+
+// newEvaluator compiles the program of (c, params) and returns a
+// private evaluator over it.
+func newEvaluator(c *circuit.Circuit, params Params) (*Evaluator, error) {
+	prog, err := NewProgram(c, params)
+	if err != nil {
+		return nil, err
+	}
+	return prog.NewEvaluator(), nil
 }

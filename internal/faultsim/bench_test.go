@@ -26,7 +26,7 @@ func benchBlockFFR(b *testing.B, c *circuit.Circuit) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		gen.NextBlock(words)
-		e.SimulateBlock(words, det, nil)
+		e.SimulateChunk(words, det, nil)
 	}
 }
 
@@ -99,7 +99,7 @@ func BenchmarkBlockEnginesBridging(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				gen.NextBlock(words)
-				e.SimulateBlock(words, det, nil)
+				e.SimulateChunk(words, det, nil)
 			}
 		})
 		b.Run(c.Name+"/naive", func(b *testing.B) {

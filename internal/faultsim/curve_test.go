@@ -22,7 +22,7 @@ func curveEngines(t *testing.T, cps []int, seed uint64) []CoveragePoint {
 		{Workers: 3},
 		{Engine: EngineNaive, Workers: 3},
 	} {
-		got, err := CoverageCurveOpt(context.Background(), c, faults,
+		got, err := NewPlan(c, faults).CoverageCurveCtx(context.Background(),
 			pattern.NewUniform(len(c.Inputs), seed), cps, opt, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -99,14 +99,14 @@ func TestCoverageCurveAllFaultsDropEarly(t *testing.T) {
 	c := circuits.C17()
 	faults := fault.Collapse(c)
 	cps := []int{10000, 20000, 30000}
-	for _, opt := range []Options{{}, {Engine: EngineNaive}, {Workers: 2}} {
+	for _, opt := range []Options{{}, {Engine: EngineNaive}, {Workers: 2}, {Engine: EngineNaive, Workers: 2}} {
 		var dones []int
 		var totals []int
 		progress := func(done, total int) {
 			dones = append(dones, done)
 			totals = append(totals, total)
 		}
-		pts, err := CoverageCurveOpt(context.Background(), c, faults,
+		pts, err := NewPlan(c, faults).CoverageCurveCtx(context.Background(),
 			pattern.NewUniform(len(c.Inputs), 2), cps, opt, progress)
 		if err != nil {
 			t.Fatal(err)

@@ -43,7 +43,7 @@ type Engine struct {
 	prebuf  []uint64 // prefix scratch for n-ary pin sensitization
 	evalbuf []uint64 // gate-input gather scratch
 
-	// Capture (BIST) state, allocated on first SimulateBlockOutputs.
+	// Capture (BIST) state, allocated on first SimulateChunkOutputs.
 	local   []uint64   // per fault: detect-at-stem word of the last capture block
 	poDiff  [][]uint64 // per stem index: per-output flip words
 	stemDet []uint64   // per stem index: OR over poDiff
@@ -52,7 +52,7 @@ type Engine struct {
 
 // NewEngine creates an engine over the shared plan.
 func NewEngine(plan *Plan) *Engine {
-	c := plan.c
+	c := plan.build().c
 	maxFanin := 1
 	for i := range c.Nodes {
 		if n := len(c.Nodes[i].Fanin); n > maxFanin {
@@ -77,12 +77,16 @@ func NewEngine(plan *Plan) *Engine {
 // Plan returns the shared plan.
 func (e *Engine) Plan() *Plan { return e.plan }
 
-// SimulateBlock runs one block of 64 patterns and fills det[i] with the
+// Width returns 1: the narrow engine is the W=1 WideEngine, one
+// 64-pattern block per chunk.
+func (e *Engine) Width() int { return 1 }
+
+// SimulateChunk runs one block of 64 patterns and fills det[i] with the
 // word of patterns detecting fault i.  When liveGroups is non-nil,
 // FFR groups marked false are skipped entirely (their det words are
 // left untouched) — the fault-dropping fast path: a dropped group
 // costs nothing, not even its backward trace.
-func (e *Engine) SimulateBlock(inputWords []uint64, det []uint64, liveGroups []bool) {
+func (e *Engine) SimulateChunk(inputWords []uint64, det []uint64, liveGroups []bool) {
 	if err := e.good.SetInputs(inputWords); err != nil {
 		panic(err) // callers size the block from the plan's circuit
 	}
@@ -414,12 +418,12 @@ func (e *Engine) flipEval(g []uint64, id circuit.NodeID, n *circuit.Node, pin in
 // ---------------------------------------------------------------------
 // Capture mode: faulty output words for response compaction (BIST).
 
-// SimulateBlockOutputs runs one block like SimulateBlock but propagates
+// SimulateChunkOutputs runs one block like SimulateChunk but propagates
 // every faulty stem through its *full* cone, recording the per-output
 // flip words, so that the exact faulty response of any fault can be
 // composed afterwards with FaultOutputs.  det[i] receives the
-// detecting-pattern word of fault i (identical to SimulateBlock).
-func (e *Engine) SimulateBlockOutputs(inputWords []uint64, det []uint64) {
+// detecting-pattern word of fault i (identical to SimulateChunk).
+func (e *Engine) SimulateChunkOutputs(inputWords []uint64, det []uint64) {
 	c := e.plan.c
 	if err := e.good.SetInputs(inputWords); err != nil {
 		panic(err) // callers size the block from the plan's circuit
@@ -507,7 +511,7 @@ func (e *Engine) captureStem(g []uint64, si int, s circuit.NodeID, region []circ
 }
 
 // FaultOutputs composes the faulty output words of fault fi from the
-// last SimulateBlockOutputs block: on the patterns where the fault
+// last SimulateChunkOutputs block: on the patterns where the fault
 // effect reaches the stem, each output flips exactly where the stem
 // flip reached it.
 func (e *Engine) FaultOutputs(fi int, out []uint64) {
@@ -520,7 +524,7 @@ func (e *Engine) FaultOutputs(fi int, out []uint64) {
 }
 
 // GoodOutputWords copies the good output words of the last
-// SimulateBlockOutputs block.
+// SimulateChunkOutputs block.
 func (e *Engine) GoodOutputWords(dst []uint64) {
 	copy(dst, e.goodOut)
 }

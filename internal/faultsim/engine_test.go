@@ -48,7 +48,7 @@ func TestEngineBlockIdentity(t *testing.T) {
 		detN := make([]uint64, len(faults))
 		for block := 0; block < 8; block++ {
 			gen.NextBlock(words)
-			e.SimulateBlock(words, detF, nil)
+			e.SimulateChunk(words, detF, nil)
 			naive.SimulateBlock(words, faults, detN)
 			for i := range faults {
 				if detF[i] != detN[i] {
@@ -75,7 +75,7 @@ func TestEngineUncollapsedUniverse(t *testing.T) {
 		detN := make([]uint64, len(faults))
 		for block := 0; block < 4; block++ {
 			gen.NextBlock(words)
-			e.SimulateBlock(words, detF, nil)
+			e.SimulateChunk(words, detF, nil)
 			naive.SimulateBlock(words, faults, detN)
 			for i := range faults {
 				if detF[i] != detN[i] {
@@ -93,14 +93,14 @@ func TestEngineMeasureDetectionIdentity(t *testing.T) {
 	for _, c := range engineTestCircuits() {
 		faults := fault.Collapse(c)
 		const n = 1000 // deliberately not a multiple of 64
-		ref := MeasureDetection(c, faults, pattern.NewUniform(len(c.Inputs), 3), n)
-		naive, err := MeasureDetectionOpt(context.Background(), c, faults,
+		ref := measure(t, c, faults, pattern.NewUniform(len(c.Inputs), 3), n, Options{})
+		naive, err := NewPlan(c, faults).MeasureDetectionCtx(context.Background(),
 			pattern.NewUniform(len(c.Inputs), 3), n, Options{Engine: EngineNaive}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 3, -1} {
-			par, err := MeasureDetectionOpt(context.Background(), c, faults,
+			par, err := NewPlan(c, faults).MeasureDetectionCtx(context.Background(),
 				pattern.NewUniform(len(c.Inputs), 3), n, Options{Workers: workers}, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -125,10 +125,12 @@ func TestEngineMeasureDetectionIdentity(t *testing.T) {
 }
 
 // TestEngineCoverageCurveIdentity compares coverage curves with fault
-// dropping across engines, worker counts and pattern sources, on
-// checkpoints that are deliberately not multiples of 64.
+// dropping across engines, widths, worker counts and pattern sources,
+// on checkpoints that are deliberately not multiples of 64, and on
+// unsorted, duplicated ones.
 func TestEngineCoverageCurveIdentity(t *testing.T) {
-	cps := []int{10, 100, 500, 777, 1500}
+	cpSets := [][]int{{10, 100, 500, 777, 1500}, {777, 10, 1500, 100, 777, 10}}
+	opts := []Options{{Engine: EngineNaive}, {Workers: -1}, {Width: 8, Workers: 2}}
 	for _, c := range engineTestCircuits() {
 		faults := fault.Collapse(c)
 		probs := make([]float64, len(c.Inputs))
@@ -148,26 +150,18 @@ func TestEngineCoverageCurveIdentity(t *testing.T) {
 			},
 		}
 		for name, mk := range gens {
-			ref := CoverageCurve(c, faults, mk(11), cps)
-			naive, err := CoverageCurveOpt(context.Background(), c, faults, mk(11), cps,
-				Options{Engine: EngineNaive}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			par, err := CoverageCurveOpt(context.Background(), c, faults, mk(11), cps,
-				Options{Workers: -1}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(ref) != len(naive) || len(ref) != len(par) {
-				t.Fatalf("%s/%s: curve lengths differ", c.Name, name)
-			}
-			for i := range ref {
-				if ref[i] != naive[i] {
-					t.Fatalf("%s/%s point %d: FFR %+v != naive %+v", c.Name, name, i, ref[i], naive[i])
-				}
-				if ref[i] != par[i] {
-					t.Fatalf("%s/%s point %d: serial %+v != parallel %+v", c.Name, name, i, ref[i], par[i])
+			for _, cps := range cpSets {
+				ref := coverage(t, c, faults, mk(11), cps, Options{})
+				for _, opt := range opts {
+					got := coverage(t, c, faults, mk(11), cps, opt)
+					if len(ref) != len(got) {
+						t.Fatalf("%s/%s %+v: curve lengths differ", c.Name, name, opt)
+					}
+					for i := range ref {
+						if ref[i] != got[i] {
+							t.Fatalf("%s/%s %+v point %d: serial FFR %+v != %+v", c.Name, name, opt, i, ref[i], got[i])
+						}
+					}
 				}
 			}
 		}
@@ -201,7 +195,7 @@ func TestEngineExhaustiveIdentity(t *testing.T) {
 			for i := range words {
 				words[i] = enumInputWord(uint64(base), i)
 			}
-			e.SimulateBlock(words, det, nil)
+			e.SimulateChunk(words, det, nil)
 			mask := blockMask(valid)
 			for i, d := range det {
 				got[i] += popcount(d & mask)
@@ -235,13 +229,13 @@ func TestEngineLiveGroups(t *testing.T) {
 	words := make([]uint64, len(c.Inputs))
 	gen.NextBlock(words)
 	full := make([]uint64, len(faults))
-	e.SimulateBlock(words, full, nil)
+	e.SimulateChunk(words, full, nil)
 	live := make([]bool, plan.NumGroups())
 	for si := 0; si < plan.NumGroups(); si += 2 {
 		live[si] = true
 	}
 	partial := make([]uint64, len(faults))
-	e.SimulateBlock(words, partial, live)
+	e.SimulateChunk(words, partial, live)
 	for i := range faults {
 		if !live[plan.GroupOf(i)] {
 			continue
@@ -253,29 +247,31 @@ func TestEngineLiveGroups(t *testing.T) {
 }
 
 // TestEngineCaptureOutputs checks capture mode against the naive
-// SimulateFaultBlock: identical faulty output words and detection
-// words for every fault.
+// oracle's capture: identical faulty output words and detection words
+// for every fault.
 func TestEngineCaptureOutputs(t *testing.T) {
 	for _, c := range []*circuit.Circuit{circuits.C17(), circuits.ALU74181(),
 		circuits.Random(circuits.RandomOptions{Inputs: 9, Gates: 70, Outputs: 4, Seed: 3})} {
 		faults := fault.Collapse(c)
 		plan := NewPlan(c, faults)
 		e := NewEngine(plan)
-		naive := New(c)
+		naive := plan.acquire(Options{Engine: EngineNaive})
 		gen := pattern.NewUniform(len(c.Inputs), 5)
 		words := make([]uint64, len(c.Inputs))
 		det := make([]uint64, len(faults))
+		detN := make([]uint64, len(faults))
 		outF := make([]uint64, len(c.Outputs))
 		outN := make([]uint64, len(c.Outputs))
 		for block := 0; block < 4; block++ {
 			gen.NextBlock(words)
-			e.SimulateBlockOutputs(words, det)
+			e.SimulateChunkOutputs(words, det)
+			naive.SimulateChunkOutputs(words, detN)
 			for fi, f := range faults {
-				dn := naive.SimulateFaultBlock(words, f, outN)
-				if det[fi] != dn {
-					t.Fatalf("%s fault %v: capture det %016x != naive %016x", c.Name, f, det[fi], dn)
+				if det[fi] != detN[fi] {
+					t.Fatalf("%s fault %v: capture det %016x != naive %016x", c.Name, f, det[fi], detN[fi])
 				}
 				e.FaultOutputs(fi, outF)
+				naive.FaultOutputs(fi, outN)
 				for oi := range outF {
 					if outF[oi] != outN[oi] {
 						t.Fatalf("%s fault %v output %d: capture %016x != naive %016x",
@@ -284,5 +280,31 @@ func TestEngineCaptureOutputs(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// The naive oracle reads only the plan's circuit and fault list: a
+// plan driven only by it never builds the FFR structure.
+func TestNaivePathSkipsFFRStructure(t *testing.T) {
+	c := circuits.ALU74181()
+	plan := NewPlan(c, fault.Collapse(c))
+	opt := Options{Engine: EngineNaive, Workers: 2}
+	ctx := context.Background()
+	if _, err := plan.MeasureDetectionCtx(ctx, pattern.NewUniform(len(c.Inputs), 1), 300, opt, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plan.CoverageCurveCtx(ctx, pattern.NewUniform(len(c.Inputs), 1), []int{10, 300}, opt, nil); err != nil {
+		t.Fatal(err)
+	}
+	fold := func(WideEngine, []uint64, []BlockSpan) {}
+	if err := plan.Capture(ctx, pattern.NewUniform(len(c.Inputs), 1), 300, opt, fold, nil); err != nil {
+		t.Fatal(err)
+	}
+	if plan.part != nil {
+		t.Fatal("naive runs built the plan's FFR structure")
+	}
+	plan.NumGroups()
+	if plan.part == nil {
+		t.Fatal("NumGroups did not build the FFR structure")
 	}
 }

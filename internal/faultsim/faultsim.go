@@ -1,18 +1,37 @@
-// Package faultsim implements two bit-parallel fault simulators for
-// the measurements the paper validates PROTEST against — P_SIM
-// (section 4, Table 1) and fault-coverage-versus-pattern-count curves
-// with fault dropping (section 6, Table 6):
+// Package faultsim implements the bit-parallel fault simulation the
+// paper validates PROTEST against — P_SIM (section 4, Table 1) and
+// fault-coverage-versus-pattern-count curves with fault dropping
+// (section 6, Table 6) — and the capture runs behind self-test
+// signatures.
 //
-//   - the FFR engine (Plan/Engine), the default: the collapsed fault
-//     list is partitioned by fanout-free region, each block runs one
-//     good simulation, one backward critical-path trace per live
-//     region and one dominator-bounded stem propagation per live stem,
-//     collapsing per-fault work to a few word operations;
-//   - the naive engine (Simulator), kept as the independent oracle:
-//     every fault is re-simulated individually inside its output cone.
+// Every measurement runs through one driver with four parameters:
 //
-// Both produce bit-identical detection words; the engine property
-// tests enforce it.  Select with Options.Engine.
+//   - the engine (Options.Engine): the FFR engine (Plan/Engine), the
+//     default, partitions the collapsed fault list by fanout-free
+//     region; each block runs one good simulation, one backward
+//     critical-path trace per live region and one dominator-bounded
+//     stem propagation per live stem, collapsing per-fault work to a
+//     few word operations.  The naive engine (Simulator), kept as the
+//     independent oracle, re-simulates every fault individually inside
+//     its output cone and drops faults one by one;
+//   - the width (Options.Width): the FFR engine simulates W ∈ {1, 4, 8}
+//     consecutive 64-pattern blocks per sweep, W=1 on the narrow
+//     kernel (Engine) and wider on the generic wide kernel.  The naive
+//     engine runs W=1 only and ignores Width;
+//   - the workers (Options.Workers): waves of up to that many chunks
+//     simulate concurrently, each on its own engine;
+//   - the fold: detection counts, first-detection positions with fault
+//     dropping (coverage curves and curve shards), or response capture
+//     (self test).
+//
+// Chunks are drawn from the pattern generator in block order and
+// folded in block order, so every engine, width and worker count
+// yields bit-identical results; the engine property tests enforce it.
+// One caveat holds for every engine: a fault-dropping run that detects
+// its last fault stops after that wave, which has already drawn its
+// remaining blocks, so the caller's generator may sit up to
+// workers×W−1 blocks further along than after a one-block-at-a-time
+// run.  The curve is unaffected.
 package faultsim
 
 import (
@@ -26,7 +45,6 @@ import (
 	"protest/internal/fault"
 	"protest/internal/logic"
 	"protest/internal/pattern"
-	"protest/internal/widesim"
 )
 
 // Progress receives (patterns applied, patterns requested) after each
@@ -76,11 +94,11 @@ func ParseEngine(s string) (EngineKind, error) {
 type Options struct {
 	// Engine selects the simulation engine.
 	Engine EngineKind
-	// Workers spreads the per-block work over goroutines; <= 1 is
+	// Workers spreads the chunks of a run over goroutines; <= 1 is
 	// serial, < 0 selects GOMAXPROCS.  Values above GOMAXPROCS are
 	// clamped to it — oversubscribing cores only adds scheduling
 	// overhead (the bench trail shows the optimizer *slowing* when
-	// oversubscribed on one CPU), and the block distribution is
+	// oversubscribed on one CPU), and the chunk distribution is
 	// identical either way.  Results are identical for every worker
 	// count.
 	Workers int
@@ -125,43 +143,19 @@ func (s *Simulator) Circuit() *circuit.Circuit { return s.c }
 // and returns for each fault the word of patterns that detect it
 // (bit b set = pattern b detects the fault at some primary output).
 func (s *Simulator) SimulateBlock(inputWords []uint64, faults []fault.Fault, detect []uint64) {
-	if err := s.good.SetInputs(inputWords); err != nil {
-		panic(err) // callers size the block from the circuit
-	}
-	s.good.Run()
-	goodVals := s.good.Values()
+	goodVals := s.runGood(inputWords)
 	for fi, f := range faults {
 		detect[fi] = s.simulateFault(goodVals, f)
 	}
 }
 
-// GoodOutputWords returns the good-circuit output words of the most
-// recent SimulateBlock / SimulateFaultBlock call.
-func (s *Simulator) GoodOutputWords(dst []uint64) {
-	s.good.OutputWords(dst)
-}
-
-// SimulateFaultBlock simulates one block of 64 patterns against a
-// single fault, fills outWords (one word per primary output) with the
-// *faulty* output values, and returns the detecting-pattern word.  Used
-// by response compaction (signature analysis), which needs the faulty
-// responses themselves, not just the difference.
-func (s *Simulator) SimulateFaultBlock(inputWords []uint64, f fault.Fault, outWords []uint64) uint64 {
+// runGood simulates the good circuit and returns its node values.
+func (s *Simulator) runGood(inputWords []uint64) []uint64 {
 	if err := s.good.SetInputs(inputWords); err != nil {
 		panic(err) // callers size the block from the circuit
 	}
 	s.good.Run()
-	goodVals := s.good.Values()
-	s.captureOut = outWords
-	det := s.simulateFault(goodVals, f)
-	s.captureOut = nil
-	if det == 0 {
-		// No output difference: the faulty responses equal the good
-		// ones (the capture in propagate only runs when the fault
-		// activates, so fill explicitly).
-		s.good.OutputWords(outWords)
-	}
-	return det
+	return s.good.Values()
 }
 
 // simulateFault re-simulates the cone of one fault against the good
@@ -371,109 +365,18 @@ func blockMask(valid int) uint64 {
 	return ^uint64(0)
 }
 
-// MeasureDetection applies numPatterns patterns from gen to the circuit
-// and counts, for every fault, how many patterns detect it — the
-// experiment behind P_SIM in section 4 of the paper.  No fault dropping
-// is performed.
-func MeasureDetection(c *circuit.Circuit, faults []fault.Fault, gen *pattern.Generator, numPatterns int) *Result {
-	res, _ := MeasureDetectionCtx(context.Background(), c, faults, gen, numPatterns, nil)
-	return res
-}
-
-// MeasureDetectionCtx is MeasureDetection with cancellation and
-// progress reporting: between 64-pattern blocks it checks ctx and, on
+// MeasureDetectionCtx applies numPatterns patterns from gen and
+// counts, for every fault, how many patterns detect it — the
+// experiment behind P_SIM in section 4 of the paper.  No fault
+// dropping is performed.  Between waves of chunks it checks ctx and, on
 // cancellation, returns ctx.Err() and a nil result.
-func MeasureDetectionCtx(ctx context.Context, c *circuit.Circuit, faults []fault.Fault, gen *pattern.Generator, numPatterns int, progress Progress) (*Result, error) {
-	return MeasureDetectionOpt(ctx, c, faults, gen, numPatterns, Options{}, progress)
-}
-
-// MeasureDetectionOpt is MeasureDetectionCtx with engine and worker
-// selection.
-func MeasureDetectionOpt(ctx context.Context, c *circuit.Circuit, faults []fault.Fault, gen *pattern.Generator, numPatterns int, opt Options, progress Progress) (*Result, error) {
-	if opt.Engine == EngineNaive {
-		if parallelWorkers(opt.Workers, len(faults)) > 1 {
-			return measureDetectionNaiveParallelCtx(ctx, c, faults, gen, numPatterns, opt.Workers, progress)
-		}
-		return measureDetectionNaiveCtx(ctx, c, faults, gen, numPatterns, progress)
-	}
-	return NewPlan(c, faults).MeasureDetectionCtx(ctx, gen, numPatterns, opt, progress)
-}
-
-// MeasureDetectionCtx measures detection counts with this plan's FFR
-// engine (or the naive oracle when opt.Engine says so).
 func (p *Plan) MeasureDetectionCtx(ctx context.Context, gen *pattern.Generator, numPatterns int, opt Options, progress Progress) (*Result, error) {
-	if opt.Engine == EngineNaive {
-		return MeasureDetectionOpt(ctx, p.c, p.faults, gen, numPatterns, opt, progress)
-	}
-	if err := widesim.CheckWidth(opt.Width); err != nil {
+	sched := DetectSchedule(numPatterns)
+	counts, err := p.countDetections(ctx, gen, sched, 0, sched.Len(), opt, p.allFaults(), nil, progress)
+	if err != nil {
 		return nil, err
 	}
-	if width := resolveWidth(opt.Width); width > 1 {
-		if parallelWorkers(opt.Workers, len(p.faults)) > 1 {
-			return p.measureDetectionWideParallelCtx(ctx, gen, numPatterns, width, opt.Workers, progress)
-		}
-		return p.measureDetectionWideCtx(ctx, gen, numPatterns, width, progress)
-	}
-	if parallelWorkers(opt.Workers, len(p.faults)) > 1 {
-		return p.measureDetectionFFRParallelCtx(ctx, gen, numPatterns, opt.Workers, progress)
-	}
-	return p.measureDetectionFFRCtx(ctx, gen, numPatterns, progress)
-}
-
-// measureDetectionFFRCtx is the serial FFR measurement loop.
-func (p *Plan) measureDetectionFFRCtx(ctx context.Context, gen *pattern.Generator, numPatterns int, progress Progress) (*Result, error) {
-	e := p.AcquireEngine()
-	defer e.Release()
-	res := &Result{
-		Faults:   p.faults,
-		Detected: make([]int, len(p.faults)),
-	}
-	words := make([]uint64, len(p.c.Inputs))
-	det := make([]uint64, len(p.faults))
-	for applied := 0; applied < numPatterns; applied += 64 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		gen.NextBlock(words)
-		mask := blockMask(numPatterns - applied)
-		e.SimulateBlock(words, det, nil)
-		for i, d := range det {
-			res.Detected[i] += bits.OnesCount64(d & mask)
-		}
-		if progress != nil {
-			progress(min(applied+64, numPatterns), numPatterns)
-		}
-	}
-	res.Applied = numPatterns
-	return res, nil
-}
-
-// measureDetectionNaiveCtx is the retained oracle implementation: one
-// cone re-simulation per fault per block.
-func measureDetectionNaiveCtx(ctx context.Context, c *circuit.Circuit, faults []fault.Fault, gen *pattern.Generator, numPatterns int, progress Progress) (*Result, error) {
-	s := New(c)
-	res := &Result{
-		Faults:   faults,
-		Detected: make([]int, len(faults)),
-	}
-	words := make([]uint64, len(c.Inputs))
-	det := make([]uint64, len(faults))
-	for applied := 0; applied < numPatterns; applied += 64 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		gen.NextBlock(words)
-		mask := blockMask(numPatterns - applied)
-		s.SimulateBlock(words, faults, det)
-		for i, d := range det {
-			res.Detected[i] += bits.OnesCount64(d & mask)
-		}
-		if progress != nil {
-			progress(min(applied+64, numPatterns), numPatterns)
-		}
-	}
-	res.Applied = numPatterns
-	return res, nil
+	return &Result{Faults: p.faults, Detected: counts, Applied: numPatterns}, nil
 }
 
 // CoveragePoint is one row of a coverage curve.
@@ -482,194 +385,52 @@ type CoveragePoint struct {
 	Coverage float64 // percent of faults detected so far
 }
 
-// CoverageCurve fault-simulates with fault dropping and records the
-// cumulative fault coverage at each checkpoint (pattern counts, sorted
-// ascending) — the experiment behind Table 6.
-func CoverageCurve(c *circuit.Circuit, faults []fault.Fault, gen *pattern.Generator, checkpoints []int) []CoveragePoint {
-	out, _ := CoverageCurveCtx(context.Background(), c, faults, gen, checkpoints, nil)
+// CoverageCurveCtx fault-simulates with fault dropping and records the
+// cumulative fault coverage at each checkpoint — the experiment behind
+// Table 6.  The FFR engine drops whole FFR groups: once every fault of
+// a region is detected the region is never traced again.
+func (p *Plan) CoverageCurveCtx(ctx context.Context, gen *pattern.Generator, checkpoints []int, opt Options, progress Progress) ([]CoveragePoint, error) {
+	sched := CurveSchedule(checkpoints)
+	first, err := p.firstDetections(ctx, gen, sched, 0, sched.Len(), opt, p.allFaults(), progress)
+	if err != nil {
+		return nil, err
+	}
+	return Curve(checkpoints, first), nil
+}
+
+// Curve returns the coverage curve of a fault list from each fault's
+// first-detection position (-1: never detected): a fault counts as
+// covered at checkpoint cp iff its first detection lies at or before
+// cp.  Points are reported in ascending checkpoint order, one per
+// requested checkpoint.
+func Curve(checkpoints, first []int) []CoveragePoint {
+	cps := append([]int(nil), checkpoints...)
+	sort.Ints(cps)
+	var out []CoveragePoint
+	for _, cp := range cps {
+		dead := 0
+		for _, f := range first {
+			if f >= 0 && f <= cp {
+				dead++
+			}
+		}
+		out = append(out, CoveragePoint{Patterns: cp, Coverage: 100 * float64(dead) / float64(len(first))})
+	}
 	return out
 }
 
-// CoverageCurveCtx is CoverageCurve with cancellation and progress
-// reporting; it checks ctx between 64-pattern blocks.
-func CoverageCurveCtx(ctx context.Context, c *circuit.Circuit, faults []fault.Fault, gen *pattern.Generator, checkpoints []int, progress Progress) ([]CoveragePoint, error) {
-	return CoverageCurveOpt(ctx, c, faults, gen, checkpoints, Options{}, progress)
-}
-
-// CoverageCurveOpt is CoverageCurveCtx with engine and worker
-// selection.
-func CoverageCurveOpt(ctx context.Context, c *circuit.Circuit, faults []fault.Fault, gen *pattern.Generator, checkpoints []int, opt Options, progress Progress) ([]CoveragePoint, error) {
-	if opt.Engine == EngineNaive {
-		if parallelWorkers(opt.Workers, len(faults)) > 1 {
-			return coverageCurveNaiveParallelCtx(ctx, c, faults, gen, checkpoints, opt.Workers, progress)
-		}
-		return coverageCurveNaiveCtx(ctx, c, faults, gen, checkpoints, progress)
-	}
-	return NewPlan(c, faults).CoverageCurveCtx(ctx, gen, checkpoints, opt, progress)
-}
-
-// CoverageCurveCtx computes the coverage curve with this plan's FFR
-// engine (or the naive oracle when opt.Engine says so).  Fault dropping
-// drops whole FFR groups: once every fault of a region is detected the
-// region is never traced again.
-func (p *Plan) CoverageCurveCtx(ctx context.Context, gen *pattern.Generator, checkpoints []int, opt Options, progress Progress) ([]CoveragePoint, error) {
-	if opt.Engine == EngineNaive {
-		return CoverageCurveOpt(ctx, p.c, p.faults, gen, checkpoints, opt, progress)
-	}
-	if err := widesim.CheckWidth(opt.Width); err != nil {
-		return nil, err
-	}
-	if width := resolveWidth(opt.Width); width > 1 {
-		if parallelWorkers(opt.Workers, len(p.faults)) > 1 {
-			return p.coverageCurveWideParallelCtx(ctx, gen, checkpoints, width, opt.Workers, progress)
-		}
-		return p.coverageCurveWideCtx(ctx, gen, checkpoints, width, progress)
-	}
-	if parallelWorkers(opt.Workers, len(p.faults)) > 1 {
-		return p.coverageCurveFFRParallelCtx(ctx, gen, checkpoints, opt.Workers, progress)
-	}
-	return p.coverageCurveFFRCtx(ctx, gen, checkpoints, progress)
-}
-
-// dropState tracks the live fault set of a coverage run at FFR-group
-// granularity.
-type dropState struct {
-	plan       *Plan
-	aliveIdx   []int32 // indices of still-undetected faults
-	liveCount  []int32 // live faults per FFR group
-	liveGroups []bool  // liveCount > 0
-	dead       int
-}
-
-func newDropState(p *Plan) *dropState {
-	d := &dropState{
-		plan:       p,
-		aliveIdx:   make([]int32, len(p.faults)),
-		liveCount:  make([]int32, p.NumGroups()),
-		liveGroups: make([]bool, p.NumGroups()),
-	}
-	for i := range p.faults {
-		d.aliveIdx[i] = int32(i)
-		d.liveCount[p.part.GroupOf[i]]++
-	}
-	for si, n := range d.liveCount {
-		d.liveGroups[si] = n > 0
-	}
-	return d
-}
-
-// drop removes the faults whose masked det word is non-zero, releasing
-// exhausted FFR groups.
-func (d *dropState) drop(det []uint64, mask uint64) {
-	d.dropLane(det, 1, 0, mask)
-}
-
-// dropLane is drop over one lane of a wide detection buffer laid out
-// det[fi*stride+lane] — the narrow drop is the stride-1 special case.
-func (d *dropState) dropLane(det []uint64, stride, lane int, mask uint64) {
-	w := 0
-	for _, fi := range d.aliveIdx {
-		if det[int(fi)*stride+lane]&mask != 0 {
-			d.dead++
-			g := d.plan.part.GroupOf[fi]
-			d.liveCount[g]--
-			if d.liveCount[g] == 0 {
-				d.liveGroups[g] = false
-			}
-			continue
-		}
-		d.aliveIdx[w] = fi
-		w++
-	}
-	d.aliveIdx = d.aliveIdx[:w]
-}
-
-// coverageCurveFFRCtx is the serial FFR coverage loop.
-func (p *Plan) coverageCurveFFRCtx(ctx context.Context, gen *pattern.Generator, checkpoints []int, progress Progress) ([]CoveragePoint, error) {
-	cps := append([]int(nil), checkpoints...)
-	sort.Ints(cps)
-	e := p.AcquireEngine()
-	defer e.Release()
-	ds := newDropState(p)
-	det := make([]uint64, len(p.faults))
-	words := make([]uint64, len(p.c.Inputs))
-	total := len(p.faults)
-	lastCp := 0
-	if len(cps) > 0 {
-		lastCp = cps[len(cps)-1]
-	}
-	var out []CoveragePoint
-	applied := 0
-	for _, cp := range cps {
-		for applied < cp && len(ds.aliveIdx) > 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			gen.NextBlock(words)
-			valid := cp - applied
-			mask := blockMask(valid)
-			applied += min(64, valid)
-			if progress != nil {
-				progress(applied, lastCp)
-			}
-			e.SimulateBlock(words, det, ds.liveGroups)
-			ds.drop(det, mask)
-		}
-		out = append(out, CoveragePoint{Patterns: cp, Coverage: 100 * float64(ds.dead) / float64(total)})
-	}
-	if progress != nil && applied < lastCp {
-		progress(lastCp, lastCp) // every fault dropped early
-	}
-	return out, nil
-}
-
-// coverageCurveNaiveCtx is the retained oracle implementation.
-func coverageCurveNaiveCtx(ctx context.Context, c *circuit.Circuit, faults []fault.Fault, gen *pattern.Generator, checkpoints []int, progress Progress) ([]CoveragePoint, error) {
-	cps := append([]int(nil), checkpoints...)
-	sort.Ints(cps)
-	s := New(c)
-	alive := append([]fault.Fault(nil), faults...)
-	det := make([]uint64, len(alive))
-	words := make([]uint64, len(c.Inputs))
-	total := len(faults)
-	lastCp := 0
-	if len(cps) > 0 {
-		lastCp = cps[len(cps)-1]
-	}
-	dead := 0
-	var out []CoveragePoint
-	applied := 0
-	for _, cp := range cps {
-		for applied < cp && len(alive) > 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			gen.NextBlock(words)
-			valid := cp - applied
-			mask := blockMask(valid)
-			applied += min(64, valid)
-			if progress != nil {
-				progress(applied, lastCp)
-			}
-			s.SimulateBlock(words, alive, det[:len(alive)])
-			// Drop detected faults.
-			w := 0
-			for i := range alive {
-				if det[i]&mask != 0 {
-					dead++
-					continue
-				}
-				alive[w] = alive[i]
-				w++
-			}
-			alive = alive[:w]
-		}
-		out = append(out, CoveragePoint{Patterns: cp, Coverage: 100 * float64(dead) / float64(total)})
-	}
-	if progress != nil && applied < lastCp {
-		progress(lastCp, lastCp) // every fault dropped early
-	}
-	return out, nil
+// Capture runs a self-test capture over the first `cycles` patterns
+// drawn from gen: every chunk is simulated in capture mode by opt's
+// engine and handed to fold in block order, with the engine holding
+// the chunk's good (GoodOutputWords) and faulty (FaultOutputs) output
+// words, det[fi*W+l] the detection words and blocks the chunk's
+// blocks.  The plan's FFR structure is built only for the FFR engine.
+func (p *Plan) Capture(ctx context.Context, gen *pattern.Generator, cycles int, opt Options, fold func(eng WideEngine, det []uint64, blocks []BlockSpan), progress Progress) error {
+	sched := DetectSchedule(cycles)
+	return p.sweep(ctx, gen, sched, 0, sched.Len(), opt, true, nil, func(eng WideEngine, det []uint64, blocks []BlockSpan) bool {
+		fold(eng, det, blocks)
+		return false
+	}, progress)
 }
 
 // ExhaustiveDetection enumerates all 2^n input patterns (n <= 20) and

@@ -1,6 +1,7 @@
 package faultsim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -26,6 +27,28 @@ G19 = NAND(G11, G7)
 G22 = NAND(G10, G16)
 G23 = NAND(G16, G19)
 `
+
+// measure runs the detection measurement on a fresh plan, failing the
+// test on error.
+func measure(t testing.TB, c *circuit.Circuit, faults []fault.Fault, gen *pattern.Generator, n int, opt Options) *Result {
+	t.Helper()
+	res, err := NewPlan(c, faults).MeasureDetectionCtx(context.Background(), gen, n, opt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// coverage runs the coverage curve on a fresh plan, failing the test
+// on error.
+func coverage(t testing.TB, c *circuit.Circuit, faults []fault.Fault, gen *pattern.Generator, cps []int, opt Options) []CoveragePoint {
+	t.Helper()
+	out, err := NewPlan(c, faults).CoverageCurveCtx(context.Background(), gen, cps, opt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
 
 func c17(t *testing.T) *circuit.Circuit {
 	t.Helper()
@@ -198,7 +221,7 @@ func TestMeasureDetection(t *testing.T) {
 	c := c17(t)
 	faults := fault.Collapse(c)
 	gen := pattern.NewUniform(len(c.Inputs), 123)
-	res := MeasureDetection(c, faults, gen, 6400)
+	res := measure(t, c, faults, gen, 6400, Options{})
 	if res.Applied != 6400 {
 		t.Fatalf("applied = %d", res.Applied)
 	}
@@ -224,7 +247,7 @@ func TestMeasureDetectionPartialBlock(t *testing.T) {
 	c := c17(t)
 	faults := fault.Collapse(c)
 	gen := pattern.NewUniform(len(c.Inputs), 5)
-	res := MeasureDetection(c, faults, gen, 10) // non-multiple of 64
+	res := measure(t, c, faults, gen, 10, Options{}) // non-multiple of 64
 	if res.Applied != 10 {
 		t.Fatalf("applied = %d", res.Applied)
 	}
@@ -239,7 +262,7 @@ func TestCoverageCurveMonotone(t *testing.T) {
 	c := c17(t)
 	faults := fault.Collapse(c)
 	gen := pattern.NewUniform(len(c.Inputs), 77)
-	curve := CoverageCurve(c, faults, gen, []int{1, 2, 4, 8, 16, 32, 64, 128})
+	curve := coverage(t, c, faults, gen, []int{1, 2, 4, 8, 16, 32, 64, 128}, Options{})
 	if len(curve) != 8 {
 		t.Fatalf("curve has %d points", len(curve))
 	}
@@ -263,8 +286,8 @@ func TestCoverageMatchesMeasure(t *testing.T) {
 	faults := fault.Collapse(c)
 	genA := pattern.NewUniform(len(c.Inputs), 99)
 	genB := pattern.NewUniform(len(c.Inputs), 99)
-	res := MeasureDetection(c, faults, genA, 128)
-	curve := CoverageCurve(c, faults, genB, []int{128})
+	res := measure(t, c, faults, genA, 128, Options{})
+	curve := coverage(t, c, faults, genB, []int{128}, Options{})
 	if math.Abs(res.Coverage()*100-curve[0].Coverage) > 1e-9 {
 		t.Errorf("coverage mismatch: measure=%v curve=%v", res.Coverage()*100, curve[0].Coverage)
 	}

@@ -18,7 +18,7 @@ import (
 // them through one wide engine pass — one good simulation and one
 // amortized fault-propagation sweep serve every packed request.  Each
 // lane's detection words are exactly the words a dedicated narrow
-// SimulateBlock call would produce, so batching is invisible in
+// Engine.SimulateChunk call would produce, so batching is invisible in
 // results; it only changes how many sweeps the plan runs.
 //
 // The batcher is safe for concurrent use and is the cross-request
@@ -80,7 +80,7 @@ func (lb *LaneBatcher) flush(_ struct{}, reqs [][]uint64) ([][]uint64, error) {
 
 // SimulateBlock submits one 64-pattern block (words, one uint64 per
 // circuit input) and blocks until its sweep runs, returning the
-// per-fault detection words — bit-identical to Engine.SimulateBlock
+// per-fault detection words — bit-identical to Engine.SimulateChunk
 // with all groups live.  words must stay unmodified until return.
 func (lb *LaneBatcher) SimulateBlock(ctx context.Context, words []uint64) ([]uint64, error) {
 	return lb.b.Submit(ctx, struct{}{}, words)

@@ -43,7 +43,7 @@ func TestModelEngineBlockIdentity(t *testing.T) {
 			detN := make([]uint64, len(faults))
 			for block := 0; block < 8; block++ {
 				gen.NextBlock(words)
-				e.SimulateBlock(words, detF, nil)
+				e.SimulateChunk(words, detF, nil)
 				naive.SimulateBlock(words, faults, detN)
 				for i := range faults {
 					if detF[i] != detN[i] {
@@ -76,7 +76,7 @@ func TestModelWideChunkIdentity(t *testing.T) {
 			for b := 0; b < nBlocks; b++ {
 				gen.NextBlock(words)
 				det := make([]uint64, len(faults))
-				narrow.SimulateBlock(words, det, nil)
+				narrow.SimulateChunk(words, det, nil)
 				refWords[b] = append([]uint64(nil), words...)
 				refDet[b] = det
 			}

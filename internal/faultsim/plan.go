@@ -18,12 +18,18 @@ import (
 // concurrent evaluators share one core.Program.  AcquireEngine pools
 // the engines, so concurrent measurement calls over one shared Plan
 // reuse warmed-up scratch instead of allocating per call.
+//
+// The FFR structure is built on first use by an FFR engine (or by
+// NumGroups / GroupOf), so a plan driven only by the naive oracle
+// engine never builds it.
 type Plan struct {
 	c      *circuit.Circuit
-	ffr    *circuit.FFR
-	part   *fault.FFRPartition
 	faults []fault.Fault
-	info   []faultInfo
+
+	buildOnce sync.Once
+	ffr       *circuit.FFR
+	part      *fault.FFRPartition
+	info      []faultInfo
 
 	pool sync.Pool // *Engine
 
@@ -62,18 +68,29 @@ type faultInfo struct {
 	stuck uint64         // faulty capture value replicated across the word
 }
 
-// NewPlan partitions the fault list by FFR and precomputes the
-// dominator-bounded propagation region of every stem.
+// NewPlan returns the plan of a fault list.  The FFR partition and the
+// dominator-bounded propagation region of every stem are built on
+// first FFR use.
 func NewPlan(c *circuit.Circuit, faults []fault.Fault) *Plan {
+	p := &Plan{c: c, faults: faults}
+	p.pool.New = func() any { return NewEngine(p) }
+	return p
+}
+
+// build partitions the fault list by FFR and precomputes the
+// dominator-bounded propagation region of every stem.
+func (p *Plan) build() *Plan {
+	p.buildOnce.Do(p.buildFFR)
+	return p
+}
+
+func (p *Plan) buildFFR() {
+	c, faults := p.c, p.faults
 	ffr := c.FFR()
-	p := &Plan{
-		c:      c,
-		ffr:    ffr,
-		part:   fault.GroupByFFR(c, faults),
-		faults: faults,
-		info:   make([]faultInfo, len(faults)),
-		outIdx: make([]int32, c.NumNodes()),
-	}
+	p.ffr = ffr
+	p.part = fault.GroupByFFR(c, faults)
+	p.info = make([]faultInfo, len(faults))
+	p.outIdx = make([]int32, c.NumNodes())
 	for i := range p.outIdx {
 		p.outIdx[i] = -1
 	}
@@ -118,8 +135,6 @@ func NewPlan(c *circuit.Circuit, faults []fault.Fault) *Plan {
 			p.regions[si] = r
 		}
 	}
-	p.pool.New = func() any { return NewEngine(p) }
-	return p
 }
 
 // AcquireEngine returns a pooled engine over this plan.  The caller
@@ -186,7 +201,7 @@ func (p *Plan) Circuit() *circuit.Circuit { return p.c }
 func (p *Plan) Faults() []fault.Fault { return p.faults }
 
 // NumGroups returns the number of FFR groups (including empty ones).
-func (p *Plan) NumGroups() int { return p.part.NumGroups() }
+func (p *Plan) NumGroups() int { return p.build().part.NumGroups() }
 
 // GroupOf returns the FFR group index of fault i.
-func (p *Plan) GroupOf(i int) int { return int(p.part.GroupOf[i]) }
+func (p *Plan) GroupOf(i int) int { return int(p.build().part.GroupOf[i]) }

@@ -20,16 +20,19 @@ import (
 // zero-fill the spare lanes (NextBlocks does) and mask the
 // corresponding det lanes out, exactly as the narrow path masks the
 // ragged final block.  Results are bit-identical to W narrow
-// SimulateBlock calls, lane for lane.
+// (W=1) calls, lane for lane.  The narrow *Engine is the W=1
+// implementation the measurement driver uses; the generic engine
+// serves W ∈ {1, 4, 8}.
 type WideEngine interface {
 	// Width returns W, the number of 64-pattern lanes per chunk.
 	Width() int
-	// SimulateChunk is the wide SimulateBlock: det[fi*W+l] receives the
-	// detecting-pattern word of fault fi in lane l.  Groups dropped via
+	// SimulateChunk fills det[fi*W+l] with the detecting-pattern word
+	// of fault fi in lane l.  Groups dropped via
 	// liveGroups are skipped, leaving their det lanes untouched.
 	SimulateChunk(inputWords []uint64, det []uint64, liveGroups []bool)
-	// SimulateChunkOutputs is the wide SimulateBlockOutputs (capture
-	// mode for BIST response compaction).
+	// SimulateChunkOutputs is SimulateChunk in capture mode (BIST
+	// response compaction): every faulty stem propagates through its
+	// full cone, so FaultOutputs can compose faulty responses.
 	SimulateChunkOutputs(inputWords []uint64, det []uint64)
 	// FaultOutputs composes fault fi's faulty output words of the last
 	// capture chunk into out (numOutputs×W, lane-major).
@@ -57,6 +60,7 @@ func widthSlot(width int) int {
 // wideProgram compiles (once) the levelized program shared by every
 // wide engine of this plan.
 func (p *Plan) wideProgram() *widesim.Program {
+	p.build()
 	p.wideOnce.Do(func() {
 		p.wideProg = widesim.Compile(p.c)
 		p.widePools[0].New = func() any { return newWideEngine[widesim.B1](p) }
@@ -139,7 +143,7 @@ func (e *wideEngine[B]) Release() {
 	e.plan.widePools[widthSlot(e.Width())].Put(e)
 }
 
-// SimulateChunk mirrors Engine.SimulateBlock over W lanes.
+// SimulateChunk mirrors Engine.SimulateChunk over W lanes.
 func (e *wideEngine[B]) SimulateChunk(inputWords []uint64, det []uint64, liveGroups []bool) {
 	if err := e.good.SetInputs(inputWords); err != nil {
 		panic(err) // callers size the chunk from the plan's circuit
@@ -176,7 +180,7 @@ func (e *wideEngine[B]) SimulateChunk(inputWords []uint64, det []uint64, liveGro
 // faultWord mirrors Engine.faultWord, composing the kind conditions
 // from the fused lane kernels.  Shl1 shifts per lane, never across
 // lanes: launch/capture pairing is block-local, so every lane computes
-// exactly what a narrow SimulateBlock of that block would.
+// exactly what a narrow SimulateChunk of that block would.
 func (e *wideEngine[B]) faultWord(g []B, fi int) B {
 	in := &e.plan.info[fi]
 	act := g[in.site]
@@ -518,9 +522,9 @@ func (e *wideEngine[B]) flipEval(g []B, id circuit.NodeID, n *circuit.Node, pin 
 }
 
 // ---------------------------------------------------------------------
-// Capture mode (BIST), mirroring Engine.SimulateBlockOutputs et al.
+// Capture mode (BIST), mirroring Engine.SimulateChunkOutputs et al.
 
-// SimulateChunkOutputs mirrors Engine.SimulateBlockOutputs over W lanes.
+// SimulateChunkOutputs mirrors Engine.SimulateChunkOutputs over W lanes.
 func (e *wideEngine[B]) SimulateChunkOutputs(inputWords []uint64, det []uint64) {
 	c := e.plan.c
 	if err := e.good.SetInputs(inputWords); err != nil {

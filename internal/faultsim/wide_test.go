@@ -41,7 +41,7 @@ func TestWideChunkIdentity(t *testing.T) {
 		for b := 0; b < nBlocks; b++ {
 			gen.NextBlock(words)
 			det := make([]uint64, len(faults))
-			narrow.SimulateBlock(words, det, nil)
+			narrow.SimulateChunk(words, det, nil)
 			refWords[b] = append([]uint64(nil), words...)
 			refDet[b] = det
 		}
@@ -181,7 +181,7 @@ func TestWideCaptureIdentity(t *testing.T) {
 				goodOut: make([]uint64, nOut),
 				fOut:    make([][]uint64, len(faults)),
 			}
-			narrow.SimulateBlockOutputs(words, r.det)
+			narrow.SimulateChunkOutputs(words, r.det)
 			narrow.GoodOutputWords(r.goodOut)
 			for fi := range faults {
 				r.fOut[fi] = make([]uint64, nOut)

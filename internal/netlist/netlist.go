@@ -43,11 +43,22 @@ type rawGate struct {
 	line int
 }
 
+// maxLine is the longest netlist line accepted.
+const maxLine = 1 << 20
+
+// newScanner returns a line scanner over r whose buffer starts at the
+// scanner's small default and grows on demand up to maxLine, so a
+// typical netlist never pays for the maximum.
+func newScanner(r io.Reader) *bufio.Scanner {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(nil, maxLine)
+	return sc
+}
+
 // Parse reads a netlist and builds the circuit.  name becomes the
 // circuit name (netlists carry no name of their own).
 func Parse(r io.Reader, name string) (*circuit.Circuit, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc := newScanner(r)
 
 	var inputs []string
 	var outputs []string

@@ -1,6 +1,8 @@
 package netlist_test
 
 import (
+	"bufio"
+	"errors"
 	"strings"
 	"testing"
 
@@ -212,5 +214,34 @@ func TestRoundTripRandomCircuits(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// The scanner buffer starts small and grows on demand: a 200 KiB line
+// still parses, a line over the 1 MiB maximum fails with the scanner's
+// error, and parsing a small netlist allocates far less than the
+// maximum.
+func TestParseLineBuffer(t *testing.T) {
+	long := "# " + strings.Repeat("x", 200<<10) + "\n" + c17Bench
+	if _, err := netlist.ParseString(long, "c17"); err != nil {
+		t.Fatalf("200 KiB line: %v", err)
+	}
+	huge := "# " + strings.Repeat("x", 1<<20) + "\n" + c17Bench
+	if _, err := netlist.ParseString(huge, "c17"); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("line over 1 MiB: err = %v, want %v", err, bufio.ErrTooLong)
+	}
+	if _, err := netlist.ParseScan(strings.NewReader(huge), "c17"); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("ParseScan, line over 1 MiB: err = %v, want %v", err, bufio.ErrTooLong)
+	}
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := netlist.ParseString(c17Bench, "c17"); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	if got := res.AllocedBytesPerOp(); got >= 64<<10 {
+		t.Errorf("parsing c17 allocates %d B/op, want < 64 KiB", got)
 	}
 }

@@ -1,7 +1,6 @@
 package netlist
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"sort"
@@ -38,8 +37,7 @@ type ScanInfo struct {
 // the combinational core with the flip-flops replaced by scan
 // pseudo-ports.
 func ParseScan(r io.Reader, name string) (*ScanInfo, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc := newScanner(r)
 
 	var inputs, outputs []string
 	var gates []rawGate

@@ -32,7 +32,7 @@ func TestShardEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks := len(faultsim.DetectBlocks(128))
+	blocks := faultsim.DetectSchedule(128).Len()
 	resp, body := postJSON(t, ts.URL+"/v1/shard", shard.Request{
 		Name: task.Name, Netlist: task.Netlist, Seed: testSeed,
 		Kind: shard.KindDetect, NumPatterns: 128,

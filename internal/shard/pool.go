@@ -456,9 +456,9 @@ func (p *Pool) dispatch(ctx context.Context, t *Task, base Request, shards []spa
 func (p *Pool) MeasureDetection(ctx context.Context, t *Task, probs []float64, numPatterns int, progress faultsim.Progress) (*faultsim.Result, error) {
 	p.runs.Add(1)
 	plan := t.Plan
-	blocks := faultsim.DetectBlocks(numPatterns)
+	blocks := faultsim.DetectSchedule(numPatterns).Len()
 	healthy := p.healthy()
-	if healthy == 0 || len(blocks) == 0 {
+	if healthy == 0 || blocks == 0 {
 		if healthy == 0 {
 			p.degradedRuns.Add(1)
 		}
@@ -469,7 +469,7 @@ func (p *Pool) MeasureDetection(ctx context.Context, t *Task, probs []float64, n
 		return plan.MeasureDetectionCtx(ctx, gen, numPatterns, faultsim.Options{Width: p.cfg.SimWidth}, progress)
 	}
 
-	shards := planShards(t.Remote.NumGroups(), len(blocks), healthy*p.cfg.ShardsPerWorker, p.cfg.MaxShards)
+	shards := planShards(t.Remote.NumGroups(), blocks, healthy*p.cfg.ShardsPerWorker, p.cfg.MaxShards)
 	base := Request{
 		Name: t.Name, Netlist: t.Netlist, FaultModel: t.wireModel(),
 		Seed: t.Seed, Probs: probs,
@@ -506,9 +506,9 @@ func (p *Pool) MeasureDetection(ctx context.Context, t *Task, probs []float64, n
 func (p *Pool) CoverageCurve(ctx context.Context, t *Task, probs []float64, checkpoints []int, progress faultsim.Progress) ([]faultsim.CoveragePoint, error) {
 	p.runs.Add(1)
 	plan := t.Plan
-	blocks := faultsim.CurveBlocks(checkpoints)
+	blocks := faultsim.CurveSchedule(checkpoints).Len()
 	healthy := p.healthy()
-	if healthy == 0 || len(blocks) == 0 {
+	if healthy == 0 || blocks == 0 {
 		if healthy == 0 {
 			p.degradedRuns.Add(1)
 		}
@@ -519,7 +519,7 @@ func (p *Pool) CoverageCurve(ctx context.Context, t *Task, probs []float64, chec
 		return plan.CoverageCurveCtx(ctx, gen, checkpoints, faultsim.Options{Width: p.cfg.SimWidth}, progress)
 	}
 
-	shards := planShards(t.Remote.NumGroups(), len(blocks), healthy*p.cfg.ShardsPerWorker, p.cfg.MaxShards)
+	shards := planShards(t.Remote.NumGroups(), blocks, healthy*p.cfg.ShardsPerWorker, p.cfg.MaxShards)
 	base := Request{
 		Name: t.Name, Netlist: t.Netlist, FaultModel: t.wireModel(),
 		Seed: t.Seed, Probs: probs,
@@ -550,23 +550,9 @@ func (p *Pool) CoverageCurve(ctx context.Context, t *Task, probs []float64, chec
 		}
 	}
 
-	// The curve from merged first positions: a fault is dead at
-	// checkpoint cp iff its first detection lies at or before cp —
-	// exactly the serial loop's drop accounting, including the float
-	// expression.
-	cps := append([]int(nil), checkpoints...)
-	sortInts(cps)
-	var out []faultsim.CoveragePoint
-	for _, cp := range cps {
-		dead := 0
-		for _, f := range first {
-			if f >= 0 && f <= cp {
-				dead++
-			}
-		}
-		out = append(out, faultsim.CoveragePoint{Patterns: cp, Coverage: 100 * float64(dead) / float64(total)})
-	}
-	return out, nil
+	// The curve from merged first positions is exactly the serial
+	// engine's drop accounting, including the float expression.
+	return faultsim.Curve(checkpoints, first), nil
 }
 
 // WorkerStats is one worker's health and traffic snapshot.
@@ -624,13 +610,4 @@ func (p *Pool) Stats() Stats {
 		})
 	}
 	return st
-}
-
-// sortInts is sort.Ints without dragging sort into every caller.
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

@@ -17,8 +17,8 @@
 //   - the pattern stream itself is positionable: block k of a seeded
 //     generator is reproduced remotely by seeding the same generator
 //     and skipping k blocks (pattern.Generator.SkipBlocks), and the
-//     per-block valid masks derive from faultsim.DetectBlocks /
-//     CurveBlocks on both sides.
+//     per-block valid masks derive from faultsim.DetectSchedule /
+//     CurveSchedule on both sides.
 //
 // Workers reconstruct the coordinator's exact fault universe from the
 // circuit netlist alone: fault collapse and FFR partitioning are
@@ -43,7 +43,6 @@ package shard
 import (
 	"context"
 	"fmt"
-	"math/bits"
 
 	"protest/internal/faultsim"
 	"protest/internal/pattern"
@@ -121,8 +120,8 @@ type Response struct {
 }
 
 // validate checks a request's shard geometry against the schedule its
-// run-level fields imply.
-func (req *Request) validate(plan *faultsim.Plan, blocks []faultsim.BlockSpan) error {
+// run-level fields imply, which has nBlocks blocks.
+func (req *Request) validate(plan *faultsim.Plan, nBlocks int) error {
 	switch req.Kind {
 	case KindDetect, KindCurve:
 	default:
@@ -131,8 +130,8 @@ func (req *Request) validate(plan *faultsim.Plan, blocks []faultsim.BlockSpan) e
 	if req.GroupLo < 0 || req.GroupHi > plan.NumGroups() || req.GroupLo >= req.GroupHi {
 		return fmt.Errorf("shard: group range [%d,%d) outside %d groups", req.GroupLo, req.GroupHi, plan.NumGroups())
 	}
-	if req.BlockLo < 0 || req.BlockHi > len(blocks) || req.BlockLo >= req.BlockHi {
-		return fmt.Errorf("shard: block range [%d,%d) outside %d blocks", req.BlockLo, req.BlockHi, len(blocks))
+	if req.BlockLo < 0 || req.BlockHi > nBlocks || req.BlockLo >= req.BlockHi {
+		return fmt.Errorf("shard: block range [%d,%d) outside %d blocks", req.BlockLo, req.BlockHi, nBlocks)
 	}
 	if err := widesim.CheckWidth(req.SimWidth); err != nil {
 		return fmt.Errorf("shard: %w", err)
@@ -140,12 +139,14 @@ func (req *Request) validate(plan *faultsim.Plan, blocks []faultsim.BlockSpan) e
 	return nil
 }
 
-// schedule derives the run's block schedule from the request.
-func (req *Request) schedule() []faultsim.BlockSpan {
+// schedule derives the run's block schedule from the request.  It is
+// arithmetic: nothing proportional to the run is allocated, so a
+// request naming a huge run costs nothing before validation.
+func (req *Request) schedule() faultsim.Schedule {
 	if req.Kind == KindCurve {
-		return faultsim.CurveBlocks(req.Checkpoints)
+		return faultsim.CurveSchedule(req.Checkpoints)
 	}
-	return faultsim.DetectBlocks(req.NumPatterns)
+	return faultsim.DetectSchedule(req.NumPatterns)
 }
 
 // generator builds the run's seeded pattern source for a circuit with
@@ -160,196 +161,30 @@ func newGenerator(nInputs int, probs []float64, seed uint64) (*pattern.Generator
 	return pattern.NewWeighted(probs, seed)
 }
 
-// groupFaults returns the indices of the plan's faults whose FFR group
-// lies in [lo, hi), in ascending fault order — the order Response
-// slices use.
-func groupFaults(plan *faultsim.Plan, lo, hi int) []int {
-	var idx []int
-	for i := range plan.Faults() {
-		if g := plan.GroupOf(i); g >= lo && g < hi {
-			idx = append(idx, i)
-		}
-	}
-	return idx
-}
-
 // runShard executes one shard request against a resolved plan — the
 // worker's core, shared by the coordinator's local fallback so a shard
 // computes the same bits wherever it runs.
 func runShard(ctx context.Context, plan *faultsim.Plan, req *Request) (*Response, error) {
-	blocks := req.schedule()
-	if err := req.validate(plan, blocks); err != nil {
+	sched := req.schedule()
+	if err := req.validate(plan, sched.Len()); err != nil {
 		return nil, err
 	}
-	c := plan.Circuit()
-	gen, err := newGenerator(len(c.Inputs), req.Probs, req.Seed)
+	gen, err := newGenerator(len(plan.Circuit().Inputs), req.Probs, req.Seed)
 	if err != nil {
 		return nil, err
 	}
 	gen.SkipBlocks(req.BlockLo)
-
-	idx := groupFaults(plan, req.GroupLo, req.GroupHi)
-	resp := &Response{Faults: len(idx)}
-	if len(idx) == 0 {
-		return resp, nil // only empty FFR groups in range
+	r := faultsim.Rect{GroupLo: req.GroupLo, GroupHi: req.GroupHi, BlockLo: req.BlockLo, BlockHi: req.BlockHi}
+	resp := &Response{}
+	if req.Kind == KindCurve {
+		resp.First, err = plan.ShardFirsts(ctx, gen, sched, r, req.SimWidth)
+		resp.Faults = len(resp.First)
+	} else {
+		resp.Counts, err = plan.ShardCounts(ctx, gen, sched, r, req.SimWidth)
+		resp.Faults = len(resp.Counts)
 	}
-
-	if req.SimWidth > 1 {
-		return runShardWide(ctx, plan, req, blocks, gen, idx, resp)
-	}
-
-	eng := plan.AcquireEngine()
-	defer eng.Release()
-	det := make([]uint64, len(plan.Faults()))
-	words := make([]uint64, len(c.Inputs))
-	live := make([]bool, plan.NumGroups())
-
-	switch req.Kind {
-	case KindDetect:
-		for g := req.GroupLo; g < req.GroupHi; g++ {
-			live[g] = true
-		}
-		counts := make([]int, len(idx))
-		for b := req.BlockLo; b < req.BlockHi; b++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			gen.NextBlock(words)
-			eng.SimulateBlock(words, det, live)
-			mask := blocks[b].Mask
-			for k, i := range idx {
-				counts[k] += bits.OnesCount64(det[i] & mask)
-			}
-		}
-		resp.Counts = counts
-
-	case KindCurve:
-		// Fault dropping at FFR granularity, restricted to this shard's
-		// faults: once every in-range fault of a group has a first
-		// position the group is skipped, exactly like the serial loop.
-		// (A fault another shard detected earlier stays "live" here; the
-		// extra work is invisible after the min-merge.)
-		liveCount := make([]int, plan.NumGroups())
-		for _, i := range idx {
-			g := plan.GroupOf(i)
-			liveCount[g]++
-			live[g] = true
-		}
-		first := make([]int, len(idx))
-		for k := range first {
-			first[k] = -1
-		}
-		remaining := len(idx)
-		for b := req.BlockLo; b < req.BlockHi && remaining > 0; b++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			gen.NextBlock(words)
-			eng.SimulateBlock(words, det, live)
-			mask := blocks[b].Mask
-			for k, i := range idx {
-				if first[k] >= 0 {
-					continue
-				}
-				if det[i]&mask != 0 {
-					first[k] = blocks[b].End
-					remaining--
-					g := plan.GroupOf(i)
-					liveCount[g]--
-					if liveCount[g] == 0 {
-						live[g] = false
-					}
-				}
-			}
-		}
-		resp.First = first
-	}
-	return resp, nil
-}
-
-// runShardWide is runShard's chunked body for SimWidth > 1: blocks
-// [BlockLo, BlockHi) are simulated min(width, remaining) at a time on
-// the wide engine, and each chunk's lanes are folded in block order so
-// every count and first-detection position matches the narrow loop bit
-// for bit.  Fault dropping uses the chunk-start live set — dropping
-// only skips work, never changes detection words, and a fault whose
-// group died mid-chunk already has its first position, so the extra
-// simulated lanes are invisible in the response.
-func runShardWide(ctx context.Context, plan *faultsim.Plan, req *Request, blocks []faultsim.BlockSpan, gen *pattern.Generator, idx []int, resp *Response) (*Response, error) {
-	w := req.SimWidth
-	eng := plan.AcquireWideEngine(w)
-	defer eng.Release()
-	c := plan.Circuit()
-	det := make([]uint64, len(plan.Faults())*w)
-	words := make([]uint64, len(c.Inputs)*w)
-	live := make([]bool, plan.NumGroups())
-
-	switch req.Kind {
-	case KindDetect:
-		for g := req.GroupLo; g < req.GroupHi; g++ {
-			live[g] = true
-		}
-		counts := make([]int, len(idx))
-		for b := req.BlockLo; b < req.BlockHi; b += w {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			n := req.BlockHi - b
-			if n > w {
-				n = w
-			}
-			gen.NextBlocks(words, w, n)
-			eng.SimulateChunk(words, det, live)
-			for l := 0; l < n; l++ {
-				mask := blocks[b+l].Mask
-				for k, i := range idx {
-					counts[k] += bits.OnesCount64(det[i*w+l] & mask)
-				}
-			}
-		}
-		resp.Counts = counts
-
-	case KindCurve:
-		liveCount := make([]int, plan.NumGroups())
-		for _, i := range idx {
-			g := plan.GroupOf(i)
-			liveCount[g]++
-			live[g] = true
-		}
-		first := make([]int, len(idx))
-		for k := range first {
-			first[k] = -1
-		}
-		remaining := len(idx)
-		for b := req.BlockLo; b < req.BlockHi && remaining > 0; b += w {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			n := req.BlockHi - b
-			if n > w {
-				n = w
-			}
-			gen.NextBlocks(words, w, n)
-			eng.SimulateChunk(words, det, live)
-			for l := 0; l < n; l++ {
-				mask := blocks[b+l].Mask
-				for k, i := range idx {
-					if first[k] >= 0 {
-						continue
-					}
-					if det[i*w+l]&mask != 0 {
-						first[k] = blocks[b+l].End
-						remaining--
-						g := plan.GroupOf(i)
-						liveCount[g]--
-						if liveCount[g] == 0 {
-							live[g] = false
-						}
-					}
-				}
-			}
-		}
-		resp.First = first
+	if err != nil {
+		return nil, err
 	}
 	return resp, nil
 }

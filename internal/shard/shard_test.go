@@ -2,6 +2,8 @@ package shard
 
 import (
 	"context"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -288,7 +290,10 @@ func TestSkipBlocksPositionsStream(t *testing.T) {
 // TestShardedWideMatchesSerial pins the wide shard path: a pool whose
 // shards run at SimWidth 4 or 8 merges to exactly the narrow serial
 // result for both measurement kinds, on every registry circuit,
-// including a pattern budget that leaves a partial final chunk.
+// including a pattern budget that leaves a partial final chunk.  A
+// rectangle starting mid-run must complete its prefix to the whole run
+// (counts add, first positions min-merge) at every width, and agree
+// with its narrow self.
 func TestShardedWideMatchesSerial(t *testing.T) {
 	cps := []int{10, 100, 257}
 	for _, name := range circuits.Names() {
@@ -296,6 +301,7 @@ func TestShardedWideMatchesSerial(t *testing.T) {
 			task := newTestTask(t, name)
 			wantDet := serialDetect(t, task, nil, 257)
 			wantCurve := serialCurve(t, task, nil, cps)
+			narrowTail := map[Kind]*Response{}
 			for _, w := range []int{1, 4, 8} {
 				p := localPool(t, 3, func(c *Config) { c.SimWidth = w })
 				got, err := p.MeasureDetection(context.Background(), task, nil, 257, nil)
@@ -308,8 +314,75 @@ func TestShardedWideMatchesSerial(t *testing.T) {
 					t.Fatal(err)
 				}
 				sameCurve(t, name, curve, wantCurve)
+
+				for _, kind := range []Kind{KindDetect, KindCurve} {
+					rect := func(lo, hi int) *Response {
+						t.Helper()
+						resp, err := runShard(context.Background(), task.Remote, &Request{
+							Name: task.Name, Netlist: task.Netlist, Seed: task.Seed,
+							Kind: kind, NumPatterns: 257, Checkpoints: cps,
+							GroupLo: 0, GroupHi: task.Remote.NumGroups(), BlockLo: lo, BlockHi: hi,
+							SimWidth: w,
+						})
+						if err != nil {
+							t.Fatal(err)
+						}
+						return resp
+					}
+					n := (&Request{Kind: kind, NumPatterns: 257, Checkpoints: cps}).schedule().Len()
+					whole, head, tail := rect(0, n), rect(0, 2), rect(2, n)
+					for k := range whole.Counts {
+						if whole.Counts[k] != head.Counts[k]+tail.Counts[k] {
+							t.Fatalf("w%d fault %d: whole %d != head %d + tail %d",
+								w, k, whole.Counts[k], head.Counts[k], tail.Counts[k])
+						}
+					}
+					for k := range whole.First {
+						merged := head.First[k]
+						if merged < 0 || (tail.First[k] >= 0 && tail.First[k] < merged) {
+							merged = tail.First[k]
+						}
+						if merged != whole.First[k] {
+							t.Fatalf("w%d fault %d: min-merged first %d != whole %d", w, k, merged, whole.First[k])
+						}
+					}
+					if ref := narrowTail[kind]; ref == nil {
+						narrowTail[kind] = tail
+					} else if !reflect.DeepEqual(tail, ref) {
+						t.Fatalf("w%d %s: mid-run rectangle differs from its narrow run", w, kind)
+					}
+				}
 			}
 		})
+	}
+}
+
+// TestShardHugeRunSmallRectangle: a request naming a huge run but a
+// one-block rectangle costs one block, not the run's schedule.
+func TestShardHugeRunSmallRectangle(t *testing.T) {
+	task := newTestTask(t, "c17")
+	for _, req := range []*Request{
+		{Kind: KindDetect, NumPatterns: 64 << 22},
+		{Kind: KindCurve, Checkpoints: []int{64 << 21, 64 << 22}},
+	} {
+		req.Name, req.Netlist, req.Seed = task.Name, task.Netlist, task.Seed
+		req.GroupLo, req.GroupHi, req.BlockLo, req.BlockHi = 0, task.Remote.NumGroups(), 0, 1
+		if _, err := runShard(context.Background(), task.Remote, req); err != nil {
+			t.Fatal(err) // warm the engine pool
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := runShard(context.Background(), task.Remote, req); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%s: one-block rectangle of a %d-block run allocated %d bytes", req.Kind, req.schedule().Len(), got)
+		}
+		req.BlockLo, req.BlockHi = req.schedule().Len(), req.schedule().Len()+1
+		if _, err := runShard(context.Background(), task.Remote, req); err == nil {
+			t.Errorf("%s: rectangle past the run's end accepted", req.Kind)
+		}
 	}
 }
 

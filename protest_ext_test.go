@@ -1,6 +1,7 @@
 package protest
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -17,7 +18,7 @@ func TestExactProbsBDDAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Analyze(alu, probs, DefaultParams())
+	res, err := openSession(t, alu).Analyze(context.Background(), probs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,9 +73,7 @@ func TestAnalyzeStafanAPI(t *testing.T) {
 
 func TestRunBISTAPI(t *testing.T) {
 	c, _ := Benchmark("c17")
-	faults := Faults(c)
-	gen := NewUniformGenerator(len(c.Inputs), 5)
-	res, err := RunBIST(c, faults, gen, BISTPlan{Cycles: 256})
+	res, err := openSession(t, c, WithSeed(5)).RunBIST(context.Background(), BISTPlan{Cycles: 256})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,9 @@ import (
 	"context"
 	"math"
 	"testing"
+
+	"protest/internal/core"
+	"protest/internal/optimize"
 )
 
 // An explicit seed 0 must be honored, not silently replaced by the
@@ -43,8 +46,13 @@ func TestOptimizeExplicitSeedZeroDeterministic(t *testing.T) {
 	}
 
 	// The Session path with an explicit seed 0 must also match the
-	// package-level optimizer, which never substitutes seeds.
-	ref, err := OptimizeInputs(c, Faults(c), OptimizeOptions{Seed: 0, Restarts: 2})
+	// optimizer run directly, which never substitutes seeds.
+	fp := FastParams()
+	prog, err := core.NewProgram(c, fp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := optimize.Optimize(prog, Faults(c), OptimizeOptions{Seed: 0, Restarts: 2, Params: &fp})
 	if err != nil {
 		t.Fatal(err)
 	}

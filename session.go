@@ -563,18 +563,18 @@ func (s *Session) simulate(ctx context.Context, probs []float64, numPatterns int
 	progress := func(done, total int) {
 		cfg.emit(PhaseSimulate, float64(done)/float64(total))
 	}
+	// The naive oracle runs locally on the plan, which builds its FFR
+	// structure only for the FFR engine.
+	ffr := cfg.engine != SimEngineNaive
 	var res *SimResult
-	if cfg.engine == SimEngineNaive {
-		// The oracle path never reads the FFR plan; skip building it.
-		res, err = faultsim.MeasureDetectionOpt(ctx, s.c, s.modelFaults(cfg.model), gen, numPatterns, cfg.simOptions(), progress)
-	} else if cfg.pool != nil {
+	if ffr && cfg.pool != nil {
 		// Sharded across the pool's workers; probs were validated by the
 		// generator above, and the merge is bit-identical to local.
 		var t *shard.Task
 		if t, err = s.ensureShardTask(cfg.model); err == nil {
 			res, err = cfg.pool.MeasureDetection(ctx, t, probs, numPatterns, progress)
 		}
-	} else if s.laneWait > 0 && s.simWidth > 1 && cfg.width == s.simWidth && cfg.model.Normalize() == s.model {
+	} else if ffr && s.laneWait > 0 && s.simWidth > 1 && cfg.width == s.simWidth && cfg.model.Normalize() == s.model {
 		// Cross-call lane batching: concurrent measurements on this
 		// Session pack their blocks into one wide sweep.  A per-run
 		// width or fault-model override bypasses the shared batcher
@@ -599,9 +599,7 @@ func (s *Session) CoverageCurve(ctx context.Context, probs []float64, checkpoint
 		cfg.emit(PhaseSimulate, float64(done)/float64(total))
 	}
 	var points []CoveragePoint
-	if cfg.engine == SimEngineNaive {
-		points, err = faultsim.CoverageCurveOpt(ctx, s.c, s.modelFaults(cfg.model), gen, checkpoints, cfg.simOptions(), progress)
-	} else if cfg.pool != nil {
+	if cfg.engine != SimEngineNaive && cfg.pool != nil {
 		var t *shard.Task
 		if t, err = s.ensureShardTask(cfg.model); err == nil {
 			points, err = cfg.pool.CoverageCurve(ctx, t, probs, checkpoints, progress)
